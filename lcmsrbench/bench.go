@@ -256,9 +256,17 @@ func (b *bench) timedPhase(s *served, first int, ops []op, dur time.Duration, ex
 	ctx := context.Background()
 	start := time.Now()
 	deadline := start.Add(dur)
+	var wr *writer
+	if len(ops) > 0 {
+		wr = &writer{b: b, db: s.db, ops: ops, start: start, lat: make([]time.Duration, 0, len(ops))}
+	}
+	// interleave: the first reader sends the updates that fell due
+	// before each of its reads (churn); otherwise a writer goroutine
+	// sends them concurrently with the reads (churn-live).
+	interleave := wr != nil && !b.w.liveWrites
 	for c := 0; c < b.w.clients; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
 			chk := newChecker(b.nw)
 			lat := make([]time.Duration, 0, 1<<14)
@@ -266,6 +274,9 @@ func (b *bench) timedPhase(s *served, first int, ops []op, dur time.Duration, ex
 			var waits []time.Duration
 			auto, misses := 0, 0
 			for time.Now().Before(deadline) {
+				if interleave && c == 0 {
+					wr.sendDue(time.Now())
+				}
 				i := first + int(next.Add(1)-1)
 				k := b.in.key(i)
 				q, search := b.in.queries[k], b.search(k)
@@ -289,6 +300,9 @@ func (b *bench) timedPhase(s *served, first int, ops []op, dur time.Duration, ex
 				}
 				b.checkAnswer(chk, i, k, resp, ops == nil)
 			}
+			if interleave && c == 0 {
+				wr.run()
+			}
 			mu.Lock()
 			ph.lat = append(ph.lat, lat...)
 			ends = append(ends, end...)
@@ -296,17 +310,20 @@ func (b *bench) timedPhase(s *served, first int, ops []op, dur time.Duration, ex
 			ph.auto += auto
 			ph.misses += misses
 			mu.Unlock()
-		}()
+		}(c)
 	}
-	if len(ops) > 0 {
+	if wr != nil && !interleave {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ph.upd, ph.genLag = b.write(s.db, ops, start)
+			wr.run()
 		}()
 	}
 	wg.Wait()
 	ph.elapsed = time.Since(start)
+	if wr != nil {
+		ph.upd, ph.genLag = wr.lat, wr.lag
+	}
 	ph.reads = len(ph.lat)
 	ph.updates = len(ops)
 	secs := int(dur / time.Second)
@@ -346,32 +363,58 @@ func windows(ends, lat []time.Duration, dur time.Duration, n int) [][]time.Durat
 	return out
 }
 
-// write sends ops open-loop at the workload's rate, starting at start,
-// and calls Compact after every compactEvery updates. Latency is timed
-// from each update's scheduled send time, so a stall also counts against
-// the updates queued behind it.
-func (b *bench) write(db *repro.Database, ops []op, start time.Time) ([]time.Duration, time.Duration) {
-	lat := make([]time.Duration, 0, len(ops))
-	var lag time.Duration
-	for n, o := range ops {
-		due := start.Add(time.Duration(float64(n) / b.w.writeRate * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		} else if -d > lag {
-			lag = -d
-		}
-		if err := o.apply(db); err != nil {
-			b.fail("update %d (%s): %v", n, opNames[o.kind], err)
-		}
-		lat = append(lat, time.Since(due))
-		if (n+1)%compactEvery == 0 {
-			b.count(1)
-			if err := db.Compact(); err != nil {
-				b.fail("compact after update %d: %v", n, err)
-			}
+// writer sends a timed phase's updates open-loop at the workload's rate:
+// update n is due at start + n/writeRate. Latency is timed from the due
+// time, so a stall, or a read in flight, also counts against the updates
+// queued behind it. A Compact follows every compactEvery updates.
+type writer struct {
+	b     *bench
+	db    *repro.Database
+	ops   []op
+	start time.Time
+	n     int             // updates sent
+	lat   []time.Duration // latency of each sent update
+	lag   time.Duration   // how late an update was sent, at most
+}
+
+func (w *writer) due(n int) time.Time {
+	return w.start.Add(time.Duration(float64(n) / w.b.w.writeRate * float64(time.Second)))
+}
+
+// send sends the next update.
+func (w *writer) send() {
+	n, o, due := w.n, w.ops[w.n], w.due(w.n)
+	if late := time.Since(due); late > w.lag {
+		w.lag = late
+	}
+	if err := o.apply(w.db); err != nil {
+		w.b.fail("update %d (%s): %v", n, opNames[o.kind], err)
+	}
+	w.lat = append(w.lat, time.Since(due))
+	w.n++
+	if w.n%compactEvery == 0 {
+		w.b.count(1)
+		if err := w.db.Compact(); err != nil {
+			w.b.fail("compact after update %d: %v", n, err)
 		}
 	}
-	return lat, lag
+}
+
+// sendDue sends every update due by now.
+func (w *writer) sendDue(now time.Time) {
+	for w.n < len(w.ops) && !w.due(w.n).After(now) {
+		w.send()
+	}
+}
+
+// run sends the remaining updates, each at its due time.
+func (w *writer) run() {
+	for w.n < len(w.ops) {
+		if d := time.Until(w.due(w.n)); d > 0 {
+			time.Sleep(d)
+		}
+		w.send()
+	}
 }
 
 // checkAnswer validates one read's answer and, when repeat is set, checks
@@ -434,8 +477,12 @@ func (b *bench) checkPass(s *served) (uint64, float64) {
 			b.fail("TGEN reference for query %d: %v", k, err)
 			continue
 		}
-		if a, r := resp.Best(), ref.Best(); a != nil && r != nil && r.Score > 0 {
-			sum += a.Score / r.Score
+		// A query TGEN answers and the timed method does not counts
+		// with ratio 0; one TGEN leaves unanswered does not count.
+		if a, r := resp.Best(), ref.Best(); r != nil && r.Score > 0 {
+			if a != nil {
+				sum += a.Score / r.Score
+			}
 			n++
 		}
 	}
@@ -452,8 +499,11 @@ func liveHeapMB() float64 {
 }
 
 // runEndToEnd is the untraced run: set up several times (setup_s is the
-// median), run the timed phase, then check the probe set.
+// median), run the timed phase, then check the probe set. heap_mb is the
+// live heap at the end of the timed phase less the live heap before the
+// first set-up, which holds the benchmark's own inputs and road network.
 func (b *bench) runEndToEnd() (metrics, error) {
+	harness := liveHeapMB()
 	var s *served
 	var setups []float64
 	for i := 0; i < b.w.setups; i++ {
@@ -479,7 +529,7 @@ func (b *bench) runEndToEnd() (metrics, error) {
 	m.set("read_p99_ms", ph.p99, "ms")
 	b.report(ph)
 	ph = phase{}
-	m.set("heap_mb", liveHeapMB(), "MB")
+	m.set("heap_mb", liveHeapMB()-harness, "MB")
 	if _, err := b.finishWrites(s); err != nil {
 		return nil, err
 	}

@@ -348,10 +348,12 @@ func (b *bench) serialSteps(read func(j, k int) error, update func(o op) error, 
 // latency, store size); an explained timed phase gives the queue wait.
 // (2) A serial pass answers a fixed read (and update) sequence through
 // the public API from a fresh set-up. (3) The same sequence runs through
-// the layers directly, once untraced and once traced, each from an
-// identical fresh set-up; every answer must equal (2)'s bit for bit, and
-// the traced pass's counts repeat exactly across runs. trace.overhead
-// compares the traced pass's time with the untraced one's.
+// the layers directly, untraced, traced, then untraced again, each from
+// an identical fresh set-up; every answer must equal (2)'s bit for bit,
+// and the traced pass's counts repeat exactly across runs.
+// trace.overhead compares the traced pass's time with the mean of the two
+// untraced passes around it, so running first or last is not counted as
+// the cost of tracing.
 func (b *bench) runTraced() (metrics, error) {
 	m := metrics{}
 	ctx := context.Background()
@@ -395,9 +397,9 @@ func (b *bench) runTraced() (metrics, error) {
 		return nil, err
 	}
 
-	// (3) serial, through the layers: untraced, then traced, each from a
-	// fresh set-up.
-	plain, err := b.layerPass(2, nil, want)
+	// (3) serial, through the layers: untraced, traced, untraced, each
+	// from a fresh set-up.
+	before, err := b.layerPass(2, nil, want)
 	if err != nil {
 		return nil, err
 	}
@@ -406,9 +408,14 @@ func (b *bench) runTraced() (metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.set("trace.overhead", float64(lt.elapsed)/float64(plain.elapsed)-1, "ratio")
-	fmt.Printf("serial pass of %d reads: served %.3fs, layers untraced %.3fs, layers traced %.3fs\n",
-		b.w.traceReads, served.Seconds(), plain.elapsed.Seconds(), lt.elapsed.Seconds())
+	after, err := b.layerPass(4, nil, want)
+	if err != nil {
+		return nil, err
+	}
+	plain := (before.elapsed + after.elapsed) / 2
+	m.set("trace.overhead", float64(lt.elapsed)/float64(plain)-1, "ratio")
+	fmt.Printf("serial pass of %d reads: served %.3fs, layers untraced %.3fs, traced %.3fs, untraced %.3fs\n",
+		b.w.traceReads, served.Seconds(), before.elapsed.Seconds(), lt.elapsed.Seconds(), after.elapsed.Seconds())
 
 	b.layerMetrics(m, tr, lt.reads)
 	nr := float64(len(lt.reads))

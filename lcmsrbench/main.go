@@ -1,9 +1,10 @@
 // Command lcmsrbench is the repository's benchmark. It drives the LCMSR
-// query service through the public repro API on one of three workloads
-// (explore, disk-zipf, churn), checks every answer, and prints the
-// end-to-end metrics. With --trace 1 it times the calls into each layer of
-// the read and write paths instead and prints the per-layer metrics. The
-// last line of standard output is one JSON object:
+// query service through the public repro API on one of its workloads
+// (explore, disk-zipf, churn; churn-live reproduces a known defect),
+// checks every answer, and prints the end-to-end metrics. With --trace 1
+// it times the calls into each layer of the read and write paths instead
+// and prints the per-layer metrics. The last line of standard output is
+// one JSON object:
 //
 //	{"correct": true, "attempted": 1234, "failed": 0, "metrics": {"qps": {"value": 812.5, "unit": "1/s"}, ...}}
 //
@@ -36,7 +37,7 @@ type metric struct {
 func (m metrics) set(name string, v float64, unit string) { m[name] = metric{Value: v, Unit: unit} }
 
 func main() {
-	name := flag.String("workload", "", "explore, disk-zipf or churn")
+	name := flag.String("workload", "", "explore, disk-zipf, churn or churn-live")
 	seed := flag.Int64("seed", 1, "seed of the generated database, queries and updates")
 	seconds := flag.Int("seconds", 10, "length of the timed phase")
 	trace := flag.Int("trace", 0, "1: traced run printing the per-layer metrics")
