@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
@@ -45,9 +44,13 @@ func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions
 		workers = len(qs) // mirror the engine's clamp so stats are honest
 	}
 	stats := BatchStats{Workers: workers}
-	qeOpts, err := toEngineOptions(opts, workers)
-	if err != nil {
+	if err := checkMethod(opts.Method); err != nil {
 		return nil, stats, err
+	}
+	if opts.Method == MethodAuto {
+		// Auto is resolved per request by Do and Serve; the batch path has
+		// no per-request budget or load signal to resolve against.
+		return nil, stats, fmt.Errorf("repro: MethodAuto is resolved by Do/Serve, not the batch path; pick a concrete method")
 	}
 	dqs := make([]dataset.Query, len(qs))
 	for i, q := range qs {
@@ -59,17 +62,14 @@ func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions
 	}
 	results := make([]*Result, len(qs))
 	start := time.Now()
-	err = queryengine.RunFunc(ctx, db.ds, dqs, workers, func(i int, qi *dataset.QueryInstance) error {
-		region, err := queryengine.Solve(ctx, qi, dqs[i].Delta, qeOpts)
-		if err != nil {
-			return err
+	err := queryengine.RunFunc(ctx, db.ds, dqs, workers, func(i int, qi *dataset.QueryInstance) error {
+		// Answer before the worker's planner is reused for the next query:
+		// the QueryInstance aliases pooled buffers.
+		res, err := db.solve(ctx, qi, dqs[i].Delta, 1, opts.Method)
+		if len(res) > 0 {
+			results[i] = res[0]
 		}
-		if region != nil {
-			// Materialize before the worker's planner is reused for the
-			// next query: the QueryInstance aliases pooled buffers.
-			results[i] = db.materialize(qi, region)
-		}
-		return nil
+		return err
 	})
 	stats.Elapsed = time.Since(start)
 	if err != nil {
@@ -81,36 +81,4 @@ func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions
 		}
 	}
 	return results, stats, nil
-}
-
-// toEngineOptions maps the public SearchOptions onto the engine's Options.
-// The zero-value defaults line up by construction: the engine auto-sizes
-// TGEN's α with the same σ̂max ≈ 9 rule as defaultTGENAlpha, so RunBatch
-// answers match per-query Run calls exactly.
-func toEngineOptions(opts SearchOptions, workers int) (queryengine.Options, error) {
-	out := queryengine.Options{
-		Workers: workers,
-		APP:     core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta},
-		TGEN:    core.TGENOptions{Alpha: opts.Alpha},
-		Greedy:  core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet},
-	}
-	if opts.UseSPTSolver {
-		out.APP.Solver = core.SolverSPT
-	}
-	switch opts.Method {
-	case MethodTGEN:
-		out.Method = queryengine.MethodTGEN
-	case MethodAPP:
-		out.Method = queryengine.MethodAPP
-	case MethodGreedy:
-		out.Method = queryengine.MethodGreedy
-	case MethodAuto:
-		// Auto is resolved per request by Database.Do and Server.Do before
-		// the engine sees it; the batch path has no per-request budget or
-		// load signal to resolve against.
-		return out, fmt.Errorf("repro: MethodAuto is resolved by Do/Serve, not the batch path; pick a concrete method")
-	default:
-		return out, fmt.Errorf("repro: unknown method %v", opts.Method)
-	}
-	return out, nil
 }

@@ -368,12 +368,16 @@ func microInstance(b *testing.B) (*core.Instance, float64) {
 	return microInst, microDelta
 }
 
+// BenchmarkQueryAPP times the served APP solver on the micro instance.
+// Every iteration gets a fresh scratch, as a served request for a new
+// query gets a cold λ-cache; BenchmarkSolveAPP in internal/core times the
+// cache replay separately.
 func BenchmarkQueryAPP(b *testing.B) {
 	in, delta := microInstance(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.APP(in, delta, core.APPOptions{}); err != nil {
+		if _, err := core.SolveAPP(context.Background(), core.NewSolveScratch(), in, delta, core.APPOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,10 +386,11 @@ func BenchmarkQueryAPP(b *testing.B) {
 func BenchmarkQueryTGEN(b *testing.B) {
 	in, delta := microInstance(b)
 	alpha := float64(in.NumNodes) / 9
+	s := core.NewSolveScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TGEN(in, delta, core.TGENOptions{Alpha: alpha}); err != nil {
+		if _, err := core.SolveTGEN(context.Background(), s, in, delta, core.TGENOptions{Alpha: alpha}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,10 +398,11 @@ func BenchmarkQueryTGEN(b *testing.B) {
 
 func BenchmarkQueryGreedy(b *testing.B) {
 	in, delta := microInstance(b)
+	s := core.NewSolveScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Greedy(in, delta, core.GreedyOptions{}); err != nil {
+		if _, err := core.SolveGreedy(context.Background(), s, in, delta, core.GreedyOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

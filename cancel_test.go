@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -187,6 +188,88 @@ func TestCancelMidSolveAPP(t *testing.T) {
 
 func TestCancelMidSolveTGEN(t *testing.T) {
 	testCancelMidSolve(t, queryengine.MethodTGEN, 10*time.Millisecond)
+}
+
+// testCancelMidTopK runs the same contract for a K=3 request of one
+// method through a one-worker server, so the cancelled request and the
+// request after it share the worker's scratch: every rank is a pooled
+// single-region solve, so a cancel during the first rank must return as
+// promptly as a single-region cancel does.
+func testCancelMidTopK(t *testing.T, method Method, cancelAfter time.Duration) {
+	d, dq := benchWorkload(t)
+	db := &Database{ds: d}
+	req := Request{
+		Query:  Query{Keywords: dq.Keywords, Delta: dq.Delta, Region: fromGeo(dq.Lambda)},
+		Search: SearchOptions{Method: method},
+		K:      3,
+	}
+	baseline := countGoroutines()
+
+	undisturbed, err := db.Serve(ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refStart := time.Now()
+	want := undisturbed.Do(context.Background(), req)
+	refDur := time.Since(refStart)
+	undisturbed.Close()
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	if len(want.Results) < 2 {
+		t.Fatalf("stress query answered %d regions; the test needs several ranks", len(want.Results))
+	}
+	if refDur < 4*cancelAfter {
+		t.Fatalf("top-%d solve took %v; cancelling after %v would not be mid-rank", req.K, refDur, cancelAfter)
+	}
+
+	srv, err := db.Serve(ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type outcome struct {
+		err error
+		at  time.Time
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		resp := srv.Do(ctx, req)
+		done <- outcome{err: resp.Err, at: time.Now()}
+	}()
+	time.Sleep(cancelAfter)
+	cancelledAt := time.Now()
+	cancel()
+	out := <-done
+	if !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("cancelled top-%d request returned err = %v, want context.Canceled", req.K, out.err)
+	}
+	if lag := out.at.Sub(cancelledAt); lag > 50*time.Millisecond {
+		t.Fatalf("top-%d request returned %v after cancel, want <= 50ms", req.K, lag)
+	}
+
+	// The worker's abandoned scratch must answer the next request
+	// bit-identically.
+	got := srv.Do(context.Background(), req)
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatal("scratch reused after a cancelled top-K request produced different regions")
+	}
+	srv.Close()
+	if after := countGoroutines(); after > baseline {
+		t.Fatalf("goroutines leaked: %d before, %d after", baseline, after)
+	}
+}
+
+// TestCancelMidTopK cancels K=3 APP and TGEN requests during their first
+// rank on the stress query.
+func TestCancelMidTopK(t *testing.T) {
+	t.Run("APP", func(t *testing.T) { testCancelMidTopK(t, MethodAPP, 15*time.Millisecond) })
+	t.Run("TGEN", func(t *testing.T) { testCancelMidTopK(t, MethodTGEN, 10*time.Millisecond) })
 }
 
 // TestCancelMidSolveGreedy uses a synthetic long-path instance: the bench

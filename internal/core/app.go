@@ -56,6 +56,9 @@ func (o APPOptions) withDefaults() APPOptions {
 // satisfies Lemma 4, then extract the best feasible subtree of TC with the
 // findOptTree dynamic program. The result carries the original weights; a
 // nil region (with nil error) means no node in the instance is relevant.
+//
+// APP is the allocating reference implementation: tests compare SolveAPP
+// against it, and every production caller runs SolveAPP.
 func APP(in *Instance, delta float64, opts APPOptions) (*Region, error) {
 	opts = opts.withDefaults()
 	if delta < 0 || math.IsNaN(delta) {
@@ -102,7 +105,7 @@ func APP(in *Instance, delta float64, opts APPOptions) (*Region, error) {
 		}
 		return r, nil
 	}
-	best := findOptTree(in, sc, tc.Nodes, toInt32(tc.Edges), delta, nil)
+	best := findOptTree(in, sc, tc.Nodes, toInt32(tc.Edges), delta)
 	if fallback.betterScore(best) {
 		best = fallback
 	}

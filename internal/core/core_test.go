@@ -271,7 +271,7 @@ func TestFindOptTreeMatchesExact(t *testing.T) {
 		for i := range treeEdges {
 			treeEdges[i] = int32(i)
 		}
-		got := findOptTree(in, sc, treeNodes, treeEdges, delta, nil)
+		got := findOptTree(in, sc, treeNodes, treeEdges, delta)
 		want, err := Exact(in, delta)
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +295,7 @@ func TestFindOptTreeTieBreak(t *testing.T) {
 	// {a,b,c} weighs 2; with Δ=1 only singletons fit and weight-1 nodes tie.
 	in := pathInstance(t, []float64{1, 0, 1}, []float64{2, 5})
 	sc := &Scaling{Alpha: 1, Theta: 1, Scaled: []int64{1, 0, 1}}
-	r := findOptTree(in, sc, []int32{0, 1, 2}, []int32{0, 1}, 1, nil)
+	r := findOptTree(in, sc, []int32{0, 1, 2}, []int32{0, 1}, 1)
 	if r == nil || r.Scaled != 1 || r.Length != 0 || len(r.Nodes) != 1 {
 		t.Fatalf("tie-break region = %v", r)
 	}
@@ -533,10 +533,13 @@ func TestTopKDisjointAndOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	in := randomInstance(t, rng, 18)
 	delta := 4.0
+	s := NewSolveScratch()
 	for name, run := range map[string]func() ([]*Region, error){
-		"APP":    func() ([]*Region, error) { return TopKAPP(context.Background(), in, delta, 3, APPOptions{}) },
-		"TGEN":   func() ([]*Region, error) { return TopKTGEN(context.Background(), in, delta, 3, TGENOptions{Alpha: 30}) },
-		"Greedy": func() ([]*Region, error) { return TopKGreedy(context.Background(), in, delta, 3, GreedyOptions{}) },
+		"APP": func() ([]*Region, error) { return TopKAPP(context.Background(), s, in, delta, 3, APPOptions{}) },
+		"TGEN": func() ([]*Region, error) {
+			return TopKTGEN(context.Background(), s, in, delta, 3, TGENOptions{Alpha: 30})
+		},
+		"Greedy": func() ([]*Region, error) { return TopKGreedy(context.Background(), s, in, delta, 3, GreedyOptions{}) },
 	} {
 		regions, err := run()
 		if err != nil {
@@ -564,7 +567,7 @@ func TestTopKDisjointAndOrdered(t *testing.T) {
 
 func TestTopKZero(t *testing.T) {
 	in := mustInstance(t, 1, nil, []float64{1})
-	if rs, err := TopKAPP(context.Background(), in, 1, 0, APPOptions{}); err != nil || rs != nil {
+	if rs, err := TopKAPP(context.Background(), NewSolveScratch(), in, 1, 0, APPOptions{}); err != nil || rs != nil {
 		t.Error("k=0 should be empty")
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // findOptTree is the pseudo-polynomial dynamic program of §4.2.3: given a
 // candidate tree TC (nodes and edge indices of the instance), it finds the
 // feasible region (length ≤ delta) with the largest scaled weight that is
@@ -11,10 +9,7 @@ import "sort"
 // their remaining neighbour exactly as Function findOptTree() does
 // (Lemma 7). Regions longer than delta are pruned eagerly: extending a
 // region never shortens it, so infeasible tuples cannot contribute.
-//
-// When keepArrays is non-nil, the surviving tuple arrays of every peeled
-// node are appended to it (used by the top-k extension, §6.2).
-func findOptTree(in *Instance, sc *Scaling, treeNodes []int32, treeEdges []int32, delta float64, keepArrays *[]*Region) *Region {
+func findOptTree(in *Instance, sc *Scaling, treeNodes []int32, treeEdges []int32, delta float64) *Region {
 	if len(treeNodes) == 0 {
 		return nil
 	}
@@ -95,30 +90,12 @@ func findOptTree(in *Instance, sc *Scaling, treeNodes []int32, treeEdges []int32
 				}
 			}
 		}
-		if keepArrays != nil {
-			for _, t := range vArr {
-				*keepArrays = append(*keepArrays, t)
-			}
-		}
 		removed[v] = true
 		delete(arrays, v)
 		remaining--
 		deg[vn]--
 		if deg[vn] == 1 {
 			queue = append(queue, vn)
-		}
-	}
-	if keepArrays != nil {
-		// Remaining (root) arrays.
-		var roots []int32
-		for v := range arrays {
-			roots = append(roots, v)
-		}
-		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-		for _, v := range roots {
-			for _, t := range arrays[v] {
-				*keepArrays = append(*keepArrays, t)
-			}
 		}
 	}
 	return best

@@ -34,6 +34,9 @@ func (o GreedyOptions) withDefaults() (GreedyOptions, error) {
 // node with the best combined score whose connecting edge still fits the
 // remaining budget, stopping when no frontier node fits. A nil region with
 // nil error means no relevant node exists.
+//
+// Greedy is the allocating reference implementation: tests compare
+// SolveGreedy against it, and every production caller runs SolveGreedy.
 func Greedy(in *Instance, delta float64, opts GreedyOptions) (*Region, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {

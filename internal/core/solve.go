@@ -343,8 +343,7 @@ func (s *SolveScratch) resultFromTree(in *Instance, t kmst.Result) *poolRegion {
 // findOptTree is findOptTree with pooled scratch: the candidate tree is
 // remapped to local indices, its adjacency becomes a pooled CSR whose
 // per-node order matches the map-based build (tree edge order), and the
-// per-node tuple arrays draw from the region arena. Only the non-keepArrays
-// form is needed here (the top-k extension keeps the allocating path).
+// per-node tuple arrays draw from the region arena.
 func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []int32, delta float64) *Region {
 	if len(treeNodes) == 0 {
 		return nil

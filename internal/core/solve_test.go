@@ -197,3 +197,89 @@ func TestSolveValidation(t *testing.T) {
 		}
 	}
 }
+
+// refTopKGreedy is the top-K Greedy reference: the banned-seed greedyFrom
+// loop with a fresh membership set and region per rank and no
+// cancellation checkpoint.
+func refTopKGreedy(in *Instance, delta float64, k int) []*Region {
+	sigmaMax, _ := in.MaxWeight()
+	if k <= 0 || sigmaMax <= 0 {
+		return nil
+	}
+	mu, _ := GreedyOptions{}.withDefaults()
+	banned := make([]bool, in.NumNodes)
+	var out []*Region
+	for len(out) < k {
+		seed := NodeID(-1)
+		bestW := 0.0
+		for v := 0; v < in.NumNodes; v++ {
+			if !banned[v] && in.Weights[v] > bestW {
+				bestW, seed = in.Weights[v], NodeID(v)
+			}
+		}
+		if seed < 0 {
+			break
+		}
+		var inRegion stampSet
+		r := greedyFrom(in, delta, mu.Mu, sigmaMax, seed, banned, &inRegion, &Region{}, nil)
+		out = append(out, r)
+		for _, v := range r.Nodes {
+			banned[v] = true
+		}
+	}
+	return out
+}
+
+// TestTopKMatchesAllocating: the pooled top-K forms must return regions
+// bit-identical to references built from the allocating single-region
+// solvers — the exclusion loop over APP and TGEN (with TGEN's per-rank α
+// resizing) and the banned-seed greedyFrom loop for Greedy — across
+// seeds, budgets and K, with one scratch reused by every call.
+func TestTopKMatchesAllocating(t *testing.T) {
+	ctx := context.Background()
+	s := NewSolveScratch()
+	for _, seed := range goldenSeeds {
+		for _, in := range goldenInstances(t, seed) {
+			tgen := TGENOptions{Alpha: max(1, float64(in.NumNodes)/9)}
+			granularity := max(1, float64(in.NumNodes)/tgen.Alpha)
+			for _, delta := range goldenDeltas {
+				for _, k := range []int{1, 2, 3, 5} {
+					wantAPP, err := topKByExclusion(ctx, in, delta, k, func(sub *Instance) (*Region, error) {
+						return APP(sub, delta, APPOptions{})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantTGEN, err := topKByExclusion(ctx, in, delta, k, func(sub *Instance) (*Region, error) {
+						return TGEN(sub, delta, TGENOptions{Alpha: max(1, float64(sub.NumNodes)/granularity)})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range []struct {
+						name string
+						want []*Region
+						run  func() ([]*Region, error)
+					}{
+						{"APP", wantAPP, func() ([]*Region, error) { return TopKAPP(ctx, s, in, delta, k, APPOptions{}) }},
+						{"TGEN", wantTGEN, func() ([]*Region, error) { return TopKTGEN(ctx, s, in, delta, k, tgen) }},
+						{"Greedy", refTopKGreedy(in, delta, k), func() ([]*Region, error) { return TopKGreedy(ctx, s, in, delta, k, GreedyOptions{}) }},
+					} {
+						got, err := c.run()
+						if err != nil {
+							t.Fatalf("%s seed %d n %d δ %v k %d: %v", c.name, seed, in.NumNodes, delta, k, err)
+						}
+						if len(got) != len(c.want) {
+							t.Fatalf("%s seed %d n %d δ %v k %d: %d regions, want %d", c.name, seed, in.NumNodes, delta, k, len(got), len(c.want))
+						}
+						for i := range got {
+							if !regionEq(got[i], c.want[i]) {
+								t.Fatalf("%s seed %d n %d δ %v k %d rank %d: pooled %v != %v", c.name, seed, in.NumNodes, delta, k, i, got[i], c.want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -47,6 +47,9 @@ func (o TGENOptions) withDefaults() TGENOptions {
 // scaled weight only the shortest region. Nodes whose incident edges have
 // all been processed drop their arrays (§5's memory optimization). A nil
 // region with nil error means no relevant node exists.
+//
+// TGEN is the allocating reference implementation: tests compare
+// SolveTGEN against it, and every production caller runs SolveTGEN.
 func TGEN(in *Instance, delta float64, opts TGENOptions) (*Region, error) {
 	opts = opts.withDefaults()
 	if delta < 0 || math.IsNaN(delta) {

@@ -16,22 +16,26 @@ import (
 // previous regions' nodes removed; the per-node tuple arrays of a single
 // run concentrate on the best cluster, so re-running after exclusion is
 // what actually yields k distinct exploration areas.
+//
+// Every rank is one pooled single-region solve on the caller's
+// SolveScratch, so top-K runs the same solvers as a single-region request
+// and honors ctx mid-rank through their checkpoints: a cancel returns
+// ctx.Err() within a bounded number of solver iterations. Each rank's
+// region is copied out of the scratch before the next rank solves, so
+// the returned regions are the caller's and s may be reused at once.
 
-// TopKAPP returns up to k disjoint regions using APP (§4) repeatedly.
-// Cancellation is honored at rank granularity: ctx is checked before each
-// rank's solve, so a cancel returns ctx.Err() after at most one more
-// single-region solve.
-func TopKAPP(ctx context.Context, in *Instance, delta float64, k int, opts APPOptions) ([]*Region, error) {
+// TopKAPP returns up to k disjoint regions, each rank solved by SolveAPP
+// (§4) on s.
+func TopKAPP(ctx context.Context, s *SolveScratch, in *Instance, delta float64, k int, opts APPOptions) ([]*Region, error) {
 	return topKByExclusion(ctx, in, delta, k, func(sub *Instance) (*Region, error) {
-		return APP(sub, delta, opts)
+		return SolveAPP(ctx, s, sub, delta, opts)
 	})
 }
 
-// TopKTGEN returns up to k disjoint regions using TGEN (§5) repeatedly.
-// TGEN's α is resized for each shrunken instance so the scaled-weight
-// granularity σ̂max stays constant across ranks. Cancellation is honored
-// at rank granularity (see TopKAPP).
-func TopKTGEN(ctx context.Context, in *Instance, delta float64, k int, opts TGENOptions) ([]*Region, error) {
+// TopKTGEN returns up to k disjoint regions, each rank solved by
+// SolveTGEN (§5) on s. TGEN's α is resized for each shrunken instance so
+// the scaled-weight granularity σ̂max stays constant across ranks.
+func TopKTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64, k int, opts TGENOptions) ([]*Region, error) {
 	opts = opts.withDefaults()
 	granularity := float64(in.NumNodes) / opts.Alpha // σ̂max regime to hold
 	if granularity < 1 {
@@ -43,15 +47,14 @@ func TopKTGEN(ctx context.Context, in *Instance, delta float64, k int, opts TGEN
 		if o.Alpha < 1 {
 			o.Alpha = 1
 		}
-		return TGEN(sub, delta, o)
+		return SolveTGEN(ctx, s, sub, delta, o)
 	})
 }
 
-// TopKGreedy returns up to k disjoint regions by repeated greedy growth,
-// seeding each next region at the heaviest node outside all previous
-// regions (§6.2). Cancellation is honored at rank granularity (see
-// TopKAPP).
-func TopKGreedy(ctx context.Context, in *Instance, delta float64, k int, opts GreedyOptions) ([]*Region, error) {
+// TopKGreedy returns up to k disjoint regions by repeated greedy growth
+// (§6.2) on s, seeding each next region at the heaviest node outside all
+// previous regions.
+func TopKGreedy(ctx context.Context, s *SolveScratch, in *Instance, delta float64, k int, opts GreedyOptions) ([]*Region, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -63,12 +66,13 @@ func TopKGreedy(ctx context.Context, in *Instance, delta float64, k int, opts Gr
 	if sigmaMax <= 0 {
 		return nil, nil
 	}
+	s.begin(ctx)
+	defer s.cancel.Release() // don't pin the caller's context between queries
 	banned := make([]bool, in.NumNodes)
-	var inRegion stampSet
 	var out []*Region
 	for len(out) < k {
-		if err := ctx.Err(); err != nil {
-			return out, err
+		if s.cancel.Now() {
+			return out, s.cancel.Err()
 		}
 		// Heaviest unbanned node seeds the next region.
 		seed := NodeID(-1)
@@ -81,7 +85,11 @@ func TopKGreedy(ctx context.Context, in *Instance, delta float64, k int, opts Gr
 		if seed < 0 {
 			break
 		}
-		r := greedyFrom(in, delta, opts.Mu, sigmaMax, seed, banned, &inRegion, &Region{}, nil)
+		// A fresh Region per rank: it is the caller's copy.
+		r := greedyFrom(in, delta, opts.Mu, sigmaMax, seed, banned, &s.inRegion, &Region{}, &s.cancel)
+		if s.cancel.Cancelled() {
+			return out, s.cancel.Err()
+		}
 		out = append(out, r)
 		for _, v := range r.Nodes {
 			banned[v] = true
@@ -92,8 +100,9 @@ func TopKGreedy(ctx context.Context, in *Instance, delta float64, k int, opts Gr
 
 // topKByExclusion runs solve on progressively shrunken instances: after
 // each region is found, its nodes are removed and the next rank is solved
-// on the remainder. Node IDs in the returned regions refer to the original
-// instance. ctx bounds the whole extraction at rank granularity.
+// on the remainder. Each rank's region is copied out (remapped to the
+// original instance's node and edge IDs) before the next solve, so solve
+// may return a region that dies at its next call.
 func topKByExclusion(ctx context.Context, in *Instance, delta float64, k int, solve func(*Instance) (*Region, error)) ([]*Region, error) {
 	if k <= 0 {
 		return nil, nil

@@ -27,25 +27,22 @@ type Planner struct {
 	d  *Dataset
 	ex *roadnet.Extractor
 
-	inst     core.Instance
-	weights  []float64
-	edges    []core.Edge
-	nodeObjs [][]grid.ObjectID
-	qscratch textindex.QueryScratch
-	sscratch grid.SearchScratch
-	strace   grid.SearchTrace
-	solve    core.SolveScratch
-	qi       QueryInstance
+	inst       core.Instance
+	weights    []float64
+	edges      []core.Edge
+	nodeObjs   [][]grid.ObjectID
+	nodeScores [][]float64
+	qscratch   textindex.QueryScratch
+	sscratch   grid.SearchScratch
+	strace     grid.SearchTrace
+	solve      core.SolveScratch
+	qi         QueryInstance
 }
 
 // NewPlanner returns a planner with empty scratch state for d.
 func (d *Dataset) NewPlanner() *Planner {
 	return &Planner{d: d, ex: roadnet.NewExtractor(d.Graph)}
 }
-
-// SolveScratch exposes the planner's pooled solver scratch for callers
-// that drive the core solvers directly.
-func (p *Planner) SolveScratch() *core.SolveScratch { return &p.solve }
 
 // Instantiate restricts the road network to Q.Λ, scores the objects inside
 // it against the keywords through the grid index (Equation 2), and
@@ -103,13 +100,8 @@ func (p *Planner) InstantiateCtx(ctx context.Context, q Query) (*QueryInstance, 
 	for i := range p.weights {
 		p.weights[i] = 0
 	}
-	if cap(p.nodeObjs) < n {
-		p.nodeObjs = append(p.nodeObjs[:cap(p.nodeObjs)], make([][]grid.ObjectID, n-cap(p.nodeObjs))...)
-	}
-	p.nodeObjs = p.nodeObjs[:n]
-	for i := range p.nodeObjs {
-		p.nodeObjs[i] = p.nodeObjs[i][:0]
-	}
+	p.nodeObjs = resetLists(p.nodeObjs, n)
+	p.nodeScores = resetLists(p.nodeScores, n)
 	for _, os := range scores {
 		parent := d.ObjNode[os.Obj]
 		local := sub.Local(parent)
@@ -125,6 +117,7 @@ func (p *Planner) InstantiateCtx(ctx context.Context, q Query) (*QueryInstance, 
 		}
 		p.weights[local] += w
 		p.nodeObjs[local] = append(p.nodeObjs[local], os.Obj)
+		p.nodeScores[local] = append(p.nodeScores[local], os.Score)
 	}
 	p.edges = p.edges[:0]
 	for i := 0; i < sub.NumEdges(); i++ {
@@ -134,11 +127,24 @@ func (p *Planner) InstantiateCtx(ctx context.Context, q Query) (*QueryInstance, 
 	if err := p.inst.Reset(n, p.edges, p.weights); err != nil {
 		return nil, fmt.Errorf("dataset: instance: %w", err)
 	}
-	p.qi = QueryInstance{In: &p.inst, Sub: sub, NodeObjects: p.nodeObjs, Prepared: prepared, Scratch: &p.solve}
+	p.qi = QueryInstance{In: &p.inst, Sub: sub, NodeObjects: p.nodeObjs, NodeScores: p.nodeScores, Prepared: prepared, Scratch: &p.solve}
 	if q.Trace {
 		p.qi.SearchTrace = &p.strace
 	}
 	return &p.qi, nil
+}
+
+// resetLists returns n empty per-node lists, keeping the backing arrays
+// grown by earlier queries.
+func resetLists[T any](lists [][]T, n int) [][]T {
+	if cap(lists) < n {
+		lists = append(lists[:cap(lists)], make([][]T, n-cap(lists))...)
+	}
+	lists = lists[:n]
+	for i := range lists {
+		lists[i] = lists[i][:0]
+	}
+	return lists
 }
 
 // growTo returns s with length n, reusing its backing array when possible.

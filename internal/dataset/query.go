@@ -189,6 +189,10 @@ type QueryInstance struct {
 	// NodeObjects[v] lists the relevant objects (positive σ) snapped to
 	// local node v.
 	NodeObjects [][]grid.ObjectID
+	// NodeScores[v][j] is the relevance σ(o.ψ, Q.ψ) of NodeObjects[v][j]
+	// as the search scored it, so answers report the object scores of
+	// the state the instance was built from, whatever updates follow.
+	NodeScores [][]float64
 	// Prepared is the IR-model view of the keywords.
 	Prepared textindex.Query
 	// Scratch is the owning planner's pooled solver state. Solvers run
@@ -232,9 +236,11 @@ func (qi *QueryInstance) Detach() (*QueryInstance, error) {
 		return nil, fmt.Errorf("dataset: detach: %w", err)
 	}
 	nodeObjs := make([][]grid.ObjectID, len(qi.NodeObjects))
+	nodeScores := make([][]float64, len(qi.NodeScores))
 	for i, objs := range qi.NodeObjects {
 		if len(objs) > 0 {
 			nodeObjs[i] = append([]grid.ObjectID(nil), objs...)
+			nodeScores[i] = append([]float64(nil), qi.NodeScores[i]...)
 		}
 	}
 	prepared := qi.Prepared
@@ -249,6 +255,7 @@ func (qi *QueryInstance) Detach() (*QueryInstance, error) {
 		In:          in,
 		Sub:         qi.Sub.Compact(),
 		NodeObjects: nodeObjs,
+		NodeScores:  nodeScores,
 		Prepared:    prepared,
 		Scratch:     &core.SolveScratch{},
 		SearchTrace: trace,

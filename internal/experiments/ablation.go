@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -32,33 +33,15 @@ func (e *Env) AblationKMST() (Table, error) {
 		{"garg-gw", core.SolverGarg},
 		{"spt", core.SolverSPT},
 	} {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{
-					Alpha: p.APPAlpha, Beta: p.APPBeta, Solver: s.solver,
-				})
-				return err
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveAPP(context.Background(), qi.Scratch, qi.In, delta, core.APPOptions{
+				Alpha: p.APPAlpha, Beta: p.APPBeta, Solver: s.solver,
 			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			weight += scoreOf(r)
-		}
-		n := float64(len(qs))
-		table.Rows = append(table.Rows, []string{
-			s.name,
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
 		})
+		if err != nil {
+			return Table{}, err
+		}
+		table.Rows = append(table.Rows, []string{s.name, fmtDur(runtime), fmtF(weight)})
 	}
 	return table, nil
 }
@@ -87,33 +70,15 @@ func (e *Env) AblationOrder() (Table, error) {
 		{"bfs", core.OrderBFS},
 		{"asc-length", core.OrderAscLength},
 	} {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{
-					Alpha: tgenAlphaFor(qi.In, p.TGENSigma), Order: s.order,
-				})
-				return err
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveTGEN(context.Background(), qi.Scratch, qi.In, delta, core.TGENOptions{
+				Alpha: tgenAlphaFor(qi.In, p.TGENSigma), Order: s.order,
 			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			weight += scoreOf(r)
-		}
-		n := float64(len(qs))
-		table.Rows = append(table.Rows, []string{
-			s.name,
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
 		})
+		if err != nil {
+			return Table{}, err
+		}
+		table.Rows = append(table.Rows, []string{s.name, fmtDur(runtime), fmtF(weight)})
 	}
 	return table, nil
 }
@@ -156,7 +121,7 @@ func (e *Env) AblationWeighting() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				r, err = core.SolveTGEN(context.Background(), qi.Scratch, qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 				return err
 			})
 			if err != nil {

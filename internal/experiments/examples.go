@@ -42,13 +42,13 @@ func (e *Env) Examples() (Table, error) {
 	}
 	runs := []namedRun{
 		{"TGEN", func() (*core.Region, error) {
-			return core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+			return core.SolveTGEN(context.Background(), qi.Scratch, qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 		}},
 		{"APP", func() (*core.Region, error) {
-			return core.APP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+			return core.SolveAPP(context.Background(), qi.Scratch, qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
 		}},
 		{"Greedy", func() (*core.Region, error) {
-			return core.Greedy(qi.In, q.Delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+			return core.SolveGreedy(context.Background(), qi.Scratch, qi.In, q.Delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
 		}},
 	}
 	for _, nr := range runs {
@@ -111,8 +111,11 @@ func (e *Env) TopK(name string) (Table, error) {
 		var app, tgen, greedy time.Duration
 		for i, qi := range qis {
 			delta := qs[i].Delta
+			// A fresh scratch per k: APP's first rank on a scratch that
+			// already solved this instance would replay its λ-cache.
+			s := core.NewSolveScratch()
 			dur, err := runTimed(func() error {
-				_, err := core.TopKAPP(context.Background(), qi.In, delta, k, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				_, err := core.TopKAPP(context.Background(), s, qi.In, delta, k, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
 				return err
 			})
 			if err != nil {
@@ -120,7 +123,7 @@ func (e *Env) TopK(name string) (Table, error) {
 			}
 			app += dur
 			dur, err = runTimed(func() error {
-				_, err := core.TopKTGEN(context.Background(), qi.In, delta, k, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				_, err := core.TopKTGEN(context.Background(), s, qi.In, delta, k, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 				return err
 			})
 			if err != nil {
@@ -128,7 +131,7 @@ func (e *Env) TopK(name string) (Table, error) {
 			}
 			tgen += dur
 			dur, err = runTimed(func() error {
-				_, err := core.TopKGreedy(context.Background(), qi.In, delta, k, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				_, err := core.TopKGreedy(context.Background(), s, qi.In, delta, k, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
 				return err
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -25,33 +26,13 @@ func (e *Env) Fig7And8() (Table, error) {
 		Header: []string{"alpha", "runtime_ms", "region_weight"},
 	}
 	for _, alpha := range []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9} {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{Alpha: alpha, Beta: p.APPBeta})
-				return err
-			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			if r != nil {
-				weight += r.Score
-			}
-		}
-		n := float64(len(qs))
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%.2f", alpha),
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveAPP(context.Background(), qi.Scratch, qi.In, delta, core.APPOptions{Alpha: alpha, Beta: p.APPBeta})
 		})
+		if err != nil {
+			return Table{}, err
+		}
+		table.Rows = append(table.Rows, []string{fmt.Sprintf("%.2f", alpha), fmtDur(runtime), fmtF(weight)})
 	}
 	return table, nil
 }
@@ -78,34 +59,17 @@ func (e *Env) Fig9And10() (Table, error) {
 	paperAlphas := []int{50, 100, 200, 400, 800, 1600}
 	sigmas := []int{72, 36, 18, 9, 4, 2}
 	for i, sigma := range sigmas {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			alpha := tgenAlphaFor(qi.In, sigma)
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: alpha})
-				return err
-			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			if r != nil {
-				weight += r.Score
-			}
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveTGEN(context.Background(), qi.Scratch, qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, sigma)})
+		})
+		if err != nil {
+			return Table{}, err
 		}
-		n := float64(len(qs))
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("%d", paperAlphas[i]),
 			fmt.Sprintf("%d", sigma),
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
+			fmtDur(runtime),
+			fmtF(weight),
 		})
 	}
 	return table, nil
@@ -128,33 +92,13 @@ func (e *Env) Fig11And12() (Table, error) {
 		Header: []string{"beta", "runtime_ms", "region_weight"},
 	}
 	for _, beta := range []float64{0.001, 0.01, 0.1, 0.3, 0.9} {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: beta})
-				return err
-			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			if r != nil {
-				weight += r.Score
-			}
-		}
-		n := float64(len(qs))
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%.3f", beta),
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveAPP(context.Background(), qi.Scratch, qi.In, delta, core.APPOptions{Alpha: p.APPAlpha, Beta: beta})
 		})
+		if err != nil {
+			return Table{}, err
+		}
+		table.Rows = append(table.Rows, []string{fmt.Sprintf("%.3f", beta), fmtDur(runtime), fmtF(weight)})
 	}
 	return table, nil
 }
@@ -176,33 +120,13 @@ func (e *Env) Fig13And14() (Table, error) {
 		Header: []string{"mu", "runtime_ms", "region_weight"},
 	}
 	for _, mu := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		var total time.Duration
-		var weight float64
-		for _, q := range qs {
-			qi, err := d.Instantiate(q)
-			if err != nil {
-				return Table{}, err
-			}
-			var r *core.Region
-			dur, err := runTimed(func() error {
-				var err error
-				r, err = core.Greedy(qi.In, q.Delta, core.GreedyOptions{Mu: mu, MuSet: true})
-				return err
-			})
-			if err != nil {
-				return Table{}, err
-			}
-			total += dur
-			if r != nil {
-				weight += r.Score
-			}
-		}
-		n := float64(len(qs))
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%.1f", mu),
-			fmtDur(time.Duration(float64(total) / n)),
-			fmtF(weight / n),
+		runtime, weight, err := timeEach(d, qs, func(qi *dataset.QueryInstance, delta float64) (*core.Region, error) {
+			return core.SolveGreedy(context.Background(), qi.Scratch, qi.In, delta, core.GreedyOptions{Mu: mu, MuSet: true})
 		})
+		if err != nil {
+			return Table{}, err
+		}
+		table.Rows = append(table.Rows, []string{fmt.Sprintf("%.1f", mu), fmtDur(runtime), fmtF(weight)})
 	}
 	return table, nil
 }
@@ -224,7 +148,7 @@ func (e *Env) Table1() (Table, error) {
 		return Table{}, err
 	}
 	var trace []core.TraceStep
-	if _, err := core.APP(qi.In, qs[0].Delta, core.APPOptions{
+	if _, err := core.SolveAPP(context.Background(), qi.Scratch, qi.In, qs[0].Delta, core.APPOptions{
 		Alpha: p.APPAlpha, Beta: p.APPBeta, Trace: &trace,
 	}); err != nil {
 		return Table{}, err
@@ -249,6 +173,30 @@ func (e *Env) Table1() (Table, error) {
 		})
 	}
 	return table, nil
+}
+
+// timeEach instantiates each query on a fresh planner, times solve on
+// it, and returns the mean solve time and mean region score. A fresh
+// planner brings a fresh scratch, so no timing replays APP's λ-cache; the
+// score is read before the next solve.
+func timeEach(d *dataset.Dataset, qs []dataset.Query, solve func(qi *dataset.QueryInstance, delta float64) (*core.Region, error)) (time.Duration, float64, error) {
+	var total time.Duration
+	var weight float64
+	for _, q := range qs {
+		qi, err := d.Instantiate(q)
+		if err != nil {
+			return 0, 0, err
+		}
+		start := time.Now()
+		r, err := solve(qi, q.Delta)
+		total += time.Since(start)
+		if err != nil {
+			return 0, 0, err
+		}
+		weight += scoreOf(r)
+	}
+	n := float64(len(qs))
+	return time.Duration(float64(total) / n), weight / n, nil
 }
 
 // instantiateAll materializes instances for a query slice through one

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -113,10 +114,12 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 		counted := 0
 		for i, qi := range qis {
 			delta := qs[i].Delta
-			var rAPP, rTGEN, rGreedy *core.Region
+			// The three solves share qi.Scratch, and a pooled region dies
+			// at the next solve on it: keep each score, not the region.
+			var sAPP, sTGEN, sGreedy float64
 			dur, err := runTimed(func() error {
-				var err error
-				rAPP, err = core.APP(qi.In, delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				r, err := core.SolveAPP(context.Background(), qi.Scratch, qi.In, delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				sAPP = scoreOf(r)
 				return err
 			})
 			if err != nil {
@@ -124,8 +127,8 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 			}
 			app.time += dur
 			dur, err = runTimed(func() error {
-				var err error
-				rTGEN, err = core.TGEN(qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				r, err := core.SolveTGEN(context.Background(), qi.Scratch, qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				sTGEN = scoreOf(r)
 				return err
 			})
 			if err != nil {
@@ -133,23 +136,23 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 			}
 			tgen.time += dur
 			dur, err = runTimed(func() error {
-				var err error
-				rGreedy, err = core.Greedy(qi.In, delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				r, err := core.SolveGreedy(context.Background(), qi.Scratch, qi.In, delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				sGreedy = scoreOf(r)
 				return err
 			})
 			if err != nil {
 				return Table{}, err
 			}
 			greedy.time += dur
-			if rTGEN == nil || rTGEN.Score <= 0 {
+			if sTGEN <= 0 {
 				continue // no relevant object: skip ratio accounting
 			}
 			counted++
-			app.weight += scoreOf(rAPP)
-			tgen.weight += rTGEN.Score
-			greedy.weight += scoreOf(rGreedy)
-			appRatio += scoreOf(rAPP) / rTGEN.Score
-			greedyRatio += scoreOf(rGreedy) / rTGEN.Score
+			app.weight += sAPP
+			tgen.weight += sTGEN
+			greedy.weight += sGreedy
+			appRatio += sAPP / sTGEN
+			greedyRatio += sGreedy / sTGEN
 		}
 		n := float64(len(qis))
 		cn := float64(counted)

@@ -501,7 +501,8 @@ type ObjScore struct {
 // computed from the cell inverted lists as in Equation (2): it reads the
 // postings lists of the query keywords in the overlapping cells and
 // accumulates (1/W_Q) Σ w_{Q,t}·wto(t) per object. Objects in boundary
-// cells but outside r are filtered by their exact location.
+// cells but outside r are filtered by their exact location. Search is the
+// allocating reference for SearchInto, which production code runs.
 func (idx *Index) Search(q textindex.Query, r geo.Rect) ([]ObjScore, error) {
 	if len(q.Terms) == 0 || q.Norm == 0 {
 		return nil, nil

@@ -92,7 +92,8 @@ type Solver interface {
 }
 
 // Garg is the GW-based quota solver. It caches GW runs per λ so that the
-// repeated invocations from APP's binary search stay cheap.
+// repeated invocations from APP's binary search stay cheap. It is the
+// allocating reference for GargSolver, which production code runs.
 type Garg struct {
 	g     *Graph
 	cache map[float64][]pcst.Tree
@@ -497,7 +498,8 @@ func quotaPruneScan(g *Graph, r *Result, quota int64) {
 // SPT is a cheap quota solver used as an ablation baseline: grow a
 // shortest-path ball from each of the heaviest seed nodes until the quota
 // is met, keep the best (shortest) resulting shortest-path tree, then
-// quota-prune it.
+// quota-prune it. It is the allocating reference for SPTSolver, which
+// production code runs.
 type SPT struct {
 	g     *Graph
 	seeds int

@@ -104,7 +104,8 @@ type event struct {
 // Solve runs GW moat growing followed by strong pruning and returns one
 // pruned candidate tree per forest component (components whose pruned tree
 // is a single node with zero prize are dropped). Trees are sorted by
-// decreasing net worth.
+// decreasing net worth. Solve is the allocating reference for Solver,
+// which production code runs.
 func Solve(g *Graph) ([]Tree, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

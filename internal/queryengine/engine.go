@@ -46,12 +46,20 @@ import (
 type Method int
 
 const (
-	// MethodTGEN is the tuple-generation heuristic (§5), the default.
+	// MethodTGEN is the tuple-generation heuristic (§5) — the best
+	// accuracy and efficiency in the paper's study, and the default.
 	MethodTGEN Method = iota
 	// MethodAPP is the (5+ε)-approximation algorithm (§4).
 	MethodAPP
-	// MethodGreedy is the fast greedy expansion (§6.1).
+	// MethodGreedy is the fast, lower-accuracy greedy expansion (§6.1).
 	MethodGreedy
+	// MethodAuto defers the choice to the cost planner (internal/plan):
+	// per request, it estimates each solver's cost from the grid's term
+	// directories and the instance size, picks the most expensive method
+	// affordable within the request's budget, and degrades one rung under
+	// queue pressure instead of shedding. It is resolved to a concrete
+	// method before solving; Solve and SolveTopK reject it.
+	MethodAuto
 )
 
 // String implements fmt.Stringer.
@@ -63,6 +71,8 @@ func (m Method) String() string {
 		return "APP"
 	case MethodGreedy:
 		return "Greedy"
+	case MethodAuto:
+		return "Auto"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -72,15 +82,10 @@ func (m Method) String() string {
 type Options struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Method picks the algorithm (default MethodTGEN).
+	// Method picks the algorithm (default MethodTGEN). Every method runs
+	// with the paper's defaults; TGEN's α is auto-sized per query region
+	// (see autoAlpha).
 	Method Method
-	// APP tunes MethodAPP.
-	APP core.APPOptions
-	// TGEN tunes MethodTGEN; Alpha == 0 auto-sizes α per query region so
-	// σ̂max ≈ 9 (the regime the paper's fixed α inhabits at its scale).
-	TGEN core.TGENOptions
-	// Greedy tunes MethodGreedy.
-	Greedy core.GreedyOptions
 }
 
 // Result is the outcome of one query of a workload, expressed in parent
@@ -180,51 +185,60 @@ func Run(ctx context.Context, d *dataset.Dataset, queries []dataset.Query, opts 
 	return results, nil
 }
 
-// Solve runs the configured algorithm on one materialized query. Callers
-// composing their own RunFunc loops (package repro's RunBatch) share this
-// dispatch so method selection lives in one place. When the instance
-// carries its planner's SolveScratch (always, through Planner.Instantiate)
-// the pooled solver path runs — bit-identical results, zero steady-state
-// allocations, and mid-solve cancellation: a cancelled ctx makes Solve
-// return ctx.Err() within a bounded number of solver iterations. The
-// returned region is valid only until the next solve on the same planner.
-// The scratch-less fallback path honors ctx only on entry.
+// Solve runs the configured algorithm on one materialized query through
+// its planner's pooled SolveScratch: zero steady-state allocations, and
+// mid-solve cancellation — a cancelled ctx makes Solve return ctx.Err()
+// within a bounded number of solver iterations. The returned region
+// aliases the scratch and is valid only until the next solve on the same
+// planner. Callers composing their own RunFunc loops (package repro's
+// RunBatch) share this dispatch so method selection lives in one place.
 func Solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, opts Options) (*core.Region, error) {
-	tgen := opts.TGEN
-	if tgen.Alpha == 0 {
-		tgen.Alpha = autoAlpha(qi.In.NumNodes)
-	}
-	if qi.Scratch == nil {
-		// Scratch-less fallback: the allocating solvers have no internal
-		// checkpoints, so honor the context at call granularity.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch opts.Method {
-		case MethodAPP:
-			return core.APP(qi.In, delta, opts.APP)
-		case MethodGreedy:
-			return core.Greedy(qi.In, delta, opts.Greedy)
-		case MethodTGEN:
-			return core.TGEN(qi.In, delta, tgen)
-		default:
-			return nil, fmt.Errorf("unknown method %v", opts.Method)
-		}
-	}
-	switch opts.Method {
-	case MethodAPP:
-		return core.SolveAPP(ctx, qi.Scratch, qi.In, delta, opts.APP)
-	case MethodGreedy:
-		return core.SolveGreedy(ctx, qi.Scratch, qi.In, delta, opts.Greedy)
-	case MethodTGEN:
-		return core.SolveTGEN(ctx, qi.Scratch, qi.In, delta, tgen)
-	default:
-		return nil, fmt.Errorf("unknown method %v", opts.Method)
-	}
+	region, _, err := dispatch(ctx, qi, delta, 1, opts)
+	return region, err
 }
 
-// autoAlpha sizes TGEN's α so σ̂max ≈ 9 regardless of the region's node
-// count (matches the package repro default).
+// SolveTopK is Solve's top-K form (§6.2): up to k pairwise-disjoint
+// regions, best first, each rank one pooled single-region solve on the
+// planner's scratch, so ctx is honored mid-rank. The returned regions are
+// copies the caller owns.
+func SolveTopK(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts Options) ([]*core.Region, error) {
+	_, regions, err := dispatch(ctx, qi, delta, k, opts)
+	return regions, err
+}
+
+// dispatch is the one place a Method becomes a solver call: the pooled
+// single-region solver when k <= 1 (one), its top-K form otherwise (topK).
+func dispatch(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts Options) (one *core.Region, topK []*core.Region, err error) {
+	s, in := qi.Scratch, qi.In
+	switch opts.Method {
+	case MethodAPP:
+		if k > 1 {
+			topK, err = core.TopKAPP(ctx, s, in, delta, k, core.APPOptions{})
+		} else {
+			one, err = core.SolveAPP(ctx, s, in, delta, core.APPOptions{})
+		}
+	case MethodGreedy:
+		if k > 1 {
+			topK, err = core.TopKGreedy(ctx, s, in, delta, k, core.GreedyOptions{})
+		} else {
+			one, err = core.SolveGreedy(ctx, s, in, delta, core.GreedyOptions{})
+		}
+	case MethodTGEN:
+		tgen := core.TGENOptions{Alpha: autoAlpha(in.NumNodes)}
+		if k > 1 {
+			topK, err = core.TopKTGEN(ctx, s, in, delta, k, tgen)
+		} else {
+			one, err = core.SolveTGEN(ctx, s, in, delta, tgen)
+		}
+	default:
+		err = fmt.Errorf("queryengine: no solver for method %v (resolve MethodAuto first)", opts.Method)
+	}
+	return one, topK, err
+}
+
+// autoAlpha sizes TGEN's α so σ̂max ≈ 9 regardless of how many nodes fall
+// inside Λ; the paper's α = 400 on |VQ| in the thousands corresponds to
+// the same σ̂max regime.
 func autoAlpha(numNodes int) float64 {
 	a := float64(numNodes) / 9
 	if a < 1 {

@@ -179,7 +179,8 @@ type Query struct {
 // PrepareQuery builds a Query from raw keywords. Keywords not present in
 // the corpus contribute nothing to any score (their f_t is 0) and are
 // dropped; duplicated keywords are collapsed. As in Equation (1), the query
-// term frequency is taken as 1 per distinct keyword.
+// term frequency is taken as 1 per distinct keyword. PrepareQuery is the
+// allocating reference for PrepareQueryInto, which production code runs.
 func (v *Vocabulary) PrepareQuery(keywords []string) Query {
 	seen := make(map[TermID]bool, len(keywords))
 	var q Query

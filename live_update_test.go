@@ -17,6 +17,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/queryengine"
 	"repro/internal/roadnet"
 	"repro/internal/textindex"
 )
@@ -336,4 +338,53 @@ func TestReopenPreservesUncompacted(t *testing.T) {
 		t.Fatalf("uncompacted updates lost across reopen:\n got %+v\nwant %+v",
 			first(got.Results), first(want.Results))
 	}
+}
+
+// TestReweightBetweenInstantiateAndMaterialize pins the answer's internal
+// consistency under a write that lands mid-request: a Reweight of an
+// object inside the solved region, applied after the instance was built
+// and before the answer is materialized, must not make Result.Score
+// (the solve-time node weights) disagree with the sum of the reported
+// objects' scores.
+func TestReweightBetweenInstantiateAndMaterialize(t *testing.T) {
+	db, err := NYLike(1, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := db.GenQueries(rand.New(rand.NewSource(4)), 8, 2, 25e6, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range qs {
+		dq, err := toDatasetQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qi, err := db.ds.Instantiate(dq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region, err := queryengine.Solve(ctx, qi, dq.Delta, queryengine.Options{Method: queryengine.MethodTGEN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := qi.RegionObjects(region)
+		if len(objs) == 0 {
+			continue
+		}
+		if err := db.Reweight(int(objs[0]), 3); err != nil {
+			t.Fatal(err)
+		}
+		res := db.materialize(qi, region)
+		sum := 0.0
+		for _, o := range res.Objects {
+			sum += o.Score
+		}
+		if math.Abs(sum-res.Score) > 1e-9*math.Max(1, math.Abs(res.Score)) {
+			t.Fatalf("Result.Score %v, object score sum %v after a mid-request Reweight", res.Score, sum)
+		}
+		return
+	}
+	t.Fatal("no query matched a region with objects; the test would be vacuous")
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/plan"
-	"repro/internal/queryengine"
 )
 
 // Plan is the EXPLAIN annotation of one answered request: which solver
@@ -95,32 +94,6 @@ func (p *Plan) CellsSkipped() int64 {
 	return p.CellsSkippedEmpty + p.CellsSkippedNoTerm + p.CellsSkippedCache
 }
 
-// fromEngineMethod maps the engine's resolved method back to the public
-// enum.
-func fromEngineMethod(m queryengine.Method) Method {
-	switch m {
-	case queryengine.MethodAPP:
-		return MethodAPP
-	case queryengine.MethodGreedy:
-		return MethodGreedy
-	default:
-		return MethodTGEN
-	}
-}
-
-// toEngineMethod maps a concrete public method onto the engine's enum
-// (MethodAuto has no engine counterpart; resolve it first).
-func toEngineMethod(m Method) queryengine.Method {
-	switch m {
-	case MethodAPP:
-		return queryengine.MethodAPP
-	case MethodGreedy:
-		return queryengine.MethodGreedy
-	default:
-		return queryengine.MethodTGEN
-	}
-}
-
 // resolveBudget picks the planning budget: an explicit SearchOptions
 // .Budget wins, else the context deadline's remaining time, else zero
 // (plan.Choose substitutes its generous default).
@@ -138,11 +111,13 @@ func resolveBudget(ctx context.Context, search SearchOptions) time.Duration {
 // (when the instance size is known) and before the solve. It resolves
 // MethodAuto against the cost model and, when explain is set, allocates
 // the request's Plan. For concrete methods without explain it is a no-op
-// returning (search, nil) — the hot path never reaches the estimator.
-func (db *Database) planQuery(ctx context.Context, qi *dataset.QueryInstance, lambda geo.Rect, search SearchOptions, pressure float64, explain bool) (SearchOptions, *Plan) {
-	auto := search.Method == MethodAuto
+// returning (search.Method, nil) — the hot path never reaches the
+// estimator.
+func (db *Database) planQuery(ctx context.Context, qi *dataset.QueryInstance, lambda geo.Rect, search SearchOptions, pressure float64, explain bool) (Method, *Plan) {
+	method := search.Method
+	auto := method == MethodAuto
 	if !auto && !explain {
-		return search, nil
+		return method, nil
 	}
 	se := db.ds.Index.EstimateSearch(qi.Prepared, lambda)
 	est := plan.Default().Estimate(se, qi.In.NumNodes)
@@ -165,19 +140,19 @@ func (db *Database) planQuery(ctx context.Context, qi *dataset.QueryInstance, la
 	}
 	if auto {
 		choice := plan.Choose(est, budget, pressure)
-		search.Method = fromEngineMethod(choice.Method)
+		method = choice.Method
 		if pl != nil {
-			pl.Method = search.Method
+			pl.Method = method
 			pl.Reason = choice.Reason
 			pl.Degraded = choice.Degraded
 			pl.EstimatedCost = choice.Estimated
 		}
 	} else if pl != nil {
-		pl.Method = search.Method
+		pl.Method = method
 		pl.Reason = "method requested by client"
-		pl.EstimatedCost = est.Of(toEngineMethod(search.Method))
+		pl.EstimatedCost = est.Of(method)
 	}
-	return search, pl
+	return method, pl
 }
 
 // finish completes a Plan after the solve: the measured cost and the

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/queryengine"
 )
 
 // Request is the unified query request: every way into the system —
@@ -17,12 +15,11 @@ import (
 type Request struct {
 	// Query is the LCMSR query ⟨ψ, ∆, Λ⟩.
 	Query Query
-	// Search selects the algorithm and its tuning. For Database.Do the
-	// zero value selects the defaults (TGEN with the paper's knobs). For
-	// Server.Do the zero value means "use the server's configured
-	// defaults"; any non-zero Search overrides them for this request
-	// only. Because plain TGEN defaults ARE the zero value, they cannot
-	// be forced through this field on a server configured with another
+	// Search selects the algorithm. For Database.Do the zero value
+	// selects TGEN. For Server.Do the zero value means "use the server's
+	// configured defaults"; any non-zero Search overrides them for this
+	// request only. Because plain TGEN is the zero value, it cannot be
+	// forced through this field on a server configured with another
 	// method — use Server.DoWithOptions for that.
 	Search SearchOptions
 	// K, when > 1, asks for the top-K pairwise-disjoint regions in
@@ -65,25 +62,12 @@ func (r Response) Best() *Result {
 // Do answers one request against the database. ctx bounds the work: the
 // solvers carry cancellation checkpoints, so a cancelled or expired
 // context makes Do return ctx.Err() in Response.Err within a bounded
-// number of solver iterations (top-K requests are cancelled at rank
-// granularity). Do is the one-shot form; use RunBatch for workloads and
-// Serve for continuous traffic.
+// number of solver iterations — top-K requests included, whose ranks are
+// each one pooled single-region solve. Do is the one-shot form; use
+// RunBatch for workloads and Serve for continuous traffic.
 func (db *Database) Do(ctx context.Context, req Request) Response {
-	dq, err := toDatasetQuery(req.Query)
+	dq, err := prepare(req, req.Search)
 	if err != nil {
-		return Response{Err: fmt.Errorf("repro: %w", err)}
-	}
-	dq.Trace = req.Explain
-	search := req.Search
-	// Validate the tuning knobs (and any concrete method) before doing
-	// instantiate work. MethodAuto is resolved after instantiation, when
-	// the instance size is known, so it is probed as its cheapest
-	// resolution here.
-	probe := search
-	if probe.Method == MethodAuto {
-		probe.Method = MethodTGEN
-	}
-	if _, err := toEngineOptions(probe, 1); err != nil {
 		return Response{Err: err}
 	}
 	started := time.Now()
@@ -91,56 +75,44 @@ func (db *Database) Do(ctx context.Context, req Request) Response {
 	if err != nil {
 		return Response{Err: err}
 	}
-	search, pl := db.planQuery(ctx, qi, dq.Lambda, search, 0, req.Explain)
-	if req.K > 1 {
-		results, err := db.topK(ctx, qi, dq.Delta, req.K, search)
-		if err != nil {
-			return Response{Err: err}
-		}
-		pl.finish(qi, started, 0)
-		return Response{Results: results, Plan: pl}
-	}
-	qeOpts, err := toEngineOptions(search, 1)
+	results, pl, err := db.answer(ctx, qi, req, dq, req.Search, started, 0, 0)
 	if err != nil {
 		return Response{Err: err}
 	}
-	region, err := queryengine.Solve(ctx, qi, dq.Delta, qeOpts)
-	if err != nil {
-		return Response{Err: err}
-	}
-	pl.finish(qi, started, 0)
-	if region == nil {
-		return Response{Plan: pl}
-	}
-	return Response{Results: []*Result{db.materialize(qi, region)}, Plan: pl}
+	return Response{Results: results, Plan: pl}
 }
 
-// topK answers the top-k form on a materialized instance; shared by
-// Database.Do and Server.Do.
-func (db *Database) topK(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts SearchOptions) ([]*Result, error) {
-	appOpts, tgenOpts, greedyOpts := toCoreOptions(opts, qi.In.NumNodes)
-	var regions []*core.Region
-	var err error
-	switch opts.Method {
-	case MethodAPP:
-		regions, err = core.TopKAPP(ctx, qi.In, delta, k, appOpts)
-	case MethodGreedy:
-		regions, err = core.TopKGreedy(ctx, qi.In, delta, k, greedyOpts)
-	case MethodTGEN:
-		regions, err = core.TopKTGEN(ctx, qi.In, delta, k, tgenOpts)
-	case MethodAuto:
-		// Do/Serve resolve Auto before reaching here; only a direct misuse
-		// of the helper could land it.
-		return nil, fmt.Errorf("repro: MethodAuto reached the solver unresolved")
-	default:
-		return nil, fmt.Errorf("repro: unknown method %v", opts.Method)
+// prepare validates a request under its resolved search options and
+// converts the query for the dataset layer, before any instantiate work.
+func prepare(req Request, search SearchOptions) (dataset.Query, error) {
+	if err := checkMethod(search.Method); err != nil {
+		return dataset.Query{}, err
 	}
+	dq, err := toDatasetQuery(req.Query)
 	if err != nil {
-		return nil, err
+		return dataset.Query{}, fmt.Errorf("repro: %w", err)
 	}
-	out := make([]*Result, 0, len(regions))
-	for _, r := range regions {
-		out = append(out, db.materialize(qi, r))
+	dq.Trace = req.Explain
+	return dq, nil
+}
+
+// answer is the request pipeline after instantiation, shared by
+// Database.Do and Server.Do: plan (resolving MethodAuto), solve one or K
+// regions, materialize them, and finish the plan. It must run while qi is
+// still the caller's. wait is the request's queue wait (0 when unqueued);
+// with maxQueueAge > 0 their ratio is the planner's load pressure.
+func (db *Database) answer(ctx context.Context, qi *dataset.QueryInstance, req Request, dq dataset.Query, search SearchOptions, started time.Time, wait, maxQueueAge time.Duration) ([]*Result, *Plan, error) {
+	pressure := 0.0
+	if maxQueueAge > 0 {
+		pressure = float64(wait) / float64(maxQueueAge)
 	}
-	return out, nil
+	method, pl := db.planQuery(ctx, qi, dq.Lambda, search, pressure, req.Explain)
+	results, err := db.solve(ctx, qi, dq.Delta, req.K, method)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The trace aliases the planner's pooled state; finish copies it out
+	// while qi is still this request's.
+	pl.finish(qi, started, wait)
+	return results, pl, nil
 }

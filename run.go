@@ -8,20 +8,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/queryengine"
 	"repro/internal/roadnet"
 )
 
-// Method selects the query-answering algorithm.
-type Method int
+// Method selects the query-answering algorithm. It is the engine's
+// method enum, so a Method passes to every layer unconverted.
+type Method = queryengine.Method
 
 const (
 	// MethodTGEN is the tuple-generation heuristic (§5) — the best
 	// accuracy and efficiency in the paper's study, and the default.
-	MethodTGEN Method = iota
+	MethodTGEN = queryengine.MethodTGEN
 	// MethodAPP is the (5+ε)-approximation algorithm (§4).
-	MethodAPP
+	MethodAPP = queryengine.MethodAPP
 	// MethodGreedy is the fast, lower-accuracy greedy expansion (§6.1).
-	MethodGreedy
+	MethodGreedy = queryengine.MethodGreedy
 	// MethodAuto defers the choice to the server-side cost planner: per
 	// request, the planner estimates each solver's cost from the grid's
 	// term directories and the instance size, picks the most expensive
@@ -30,62 +32,34 @@ const (
 	// pressure instead of shedding. Database.Do and Server.Do resolve it;
 	// RunBatch requires a concrete method. Set Request.Explain to see the
 	// decision in Response.Plan.
-	MethodAuto
+	MethodAuto = queryengine.MethodAuto
 )
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodTGEN:
-		return "TGEN"
-	case MethodAPP:
-		return "APP"
-	case MethodGreedy:
-		return "Greedy"
-	case MethodAuto:
-		return "Auto"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // ParseMethod parses a method name, case-insensitively, round-tripping
 // Method.String: ParseMethod(m.String()) == m for every defined method.
-// It is the one place method names are spelled out — the CLI flag parser
-// and the HTTP front end both use it.
+// The CLI flag parser and the HTTP front end both use it.
 func ParseMethod(s string) (Method, error) {
-	switch strings.ToLower(s) {
-	case "tgen":
-		return MethodTGEN, nil
-	case "app":
-		return MethodAPP, nil
-	case "greedy":
-		return MethodGreedy, nil
-	case "auto":
-		return MethodAuto, nil
-	default:
-		return 0, fmt.Errorf("repro: unknown method %q (want TGEN, APP, Greedy, or Auto)", s)
+	for m := MethodTGEN; m <= MethodAuto; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
 	}
+	return 0, fmt.Errorf("repro: unknown method %q (want TGEN, APP, Greedy, or Auto)", s)
 }
 
-// SearchOptions tunes the selected Method. The zero value selects the
-// paper's recommended defaults for every knob.
+// checkMethod rejects a Method value outside the defined set.
+func checkMethod(m Method) error {
+	if m < MethodTGEN || m > MethodAuto {
+		return fmt.Errorf("repro: unknown method %v", m)
+	}
+	return nil
+}
+
+// SearchOptions selects the algorithm for a query. The zero value selects
+// TGEN. Every method runs with the paper's recommended knobs.
 type SearchOptions struct {
 	// Method picks the algorithm (default MethodTGEN).
 	Method Method
-	// Alpha is the node-weight scaling parameter α. Defaults: 0.5 for
-	// APP; for TGEN it is auto-sized so σ̂max ≈ 9 over the query region
-	// (the regime the paper's α = 400 inhabits at its data scale).
-	Alpha float64
-	// Beta is APP's binary-search slack β (default 0.1).
-	Beta float64
-	// Mu is Greedy's length/weight balance µ ∈ [0,1] (default 0.2).
-	// Set MuSet to use an explicit 0.
-	Mu    float64
-	MuSet bool
-	// UseSPTSolver makes APP use the shortest-path-tree quota heuristic
-	// instead of the GW/Garg solver (ablation).
-	UseSPTSolver bool
 	// Budget, for MethodAuto, is the explicit solve budget the planner
 	// chooses against. Zero derives the budget from the request context's
 	// deadline, falling back to a generous default when there is none.
@@ -127,9 +101,10 @@ func (db *Database) Run(ctx context.Context, q Query, opts SearchOptions) (*Resu
 }
 
 // RunTopK answers the top-k LCMSR query (§6.2): up to k pairwise-disjoint
-// regions in decreasing quality order. ctx cancels between ranks (each
-// rank is one full single-region solve). RunTopK is the K-form
-// convenience wrapper over Do.
+// regions in decreasing quality order. Each rank is one pooled
+// single-region solve, and ctx is honored mid-rank: a cancel returns
+// ctx.Err() within a bounded number of solver iterations. RunTopK is the
+// K-form convenience wrapper over Do.
 func (db *Database) RunTopK(ctx context.Context, q Query, k int, opts SearchOptions) ([]*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("repro: k must be positive, got %d", k)
@@ -138,8 +113,35 @@ func (db *Database) RunTopK(ctx context.Context, q Query, k int, opts SearchOpti
 	return resp.Results, resp.Err
 }
 
+// solve runs method m on qi through the engine's one dispatch and
+// materializes the answer: the best region when k <= 1 (none when nothing
+// matched), else up to k disjoint regions, best first. It must run while
+// qi is still the caller's (before its planner's next Instantiate).
+func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, m Method) ([]*Result, error) {
+	opts := queryengine.Options{Method: m}
+	if k > 1 {
+		regions, err := queryengine.SolveTopK(ctx, qi, delta, k, opts)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]*Result, len(regions))
+		for i, r := range regions {
+			out[i] = db.materialize(qi, r)
+		}
+		return out, nil
+	}
+	region, err := queryengine.Solve(ctx, qi, delta, opts)
+	if err != nil || region == nil {
+		return nil, err
+	}
+	return []*Result{db.materialize(qi, region)}, nil
+}
+
 // materialize converts a core region (local IDs) into a public Result
-// (parent graph IDs, object details).
+// (parent graph IDs, object details). Object scores are the σ values the
+// instance recorded when it was built, so Result.Score and the objects'
+// scores describe the same state even when a Reweight lands after the
+// instantiate.
 func (db *Database) materialize(qi *dataset.QueryInstance, region *core.Region) *Result {
 	res := &Result{
 		Score:  region.Score,
@@ -158,18 +160,20 @@ func (db *Database) materialize(qi *dataset.QueryInstance, region *core.Region) 
 			Length: e.Length,
 		})
 	}
-	// Object details race with live mutators (a concurrent Reweight swaps
-	// the weight slice this reads); take the dataset read lock.
+	// Object positions race with live mutators that grow the object
+	// slice; take the dataset read lock.
 	db.ds.RLock()
 	defer db.ds.RUnlock()
-	for _, objID := range qi.RegionObjects(region) {
-		o := db.ds.Objects[objID]
-		res.Objects = append(res.Objects, ResultObject{
-			ID:    int(objID),
-			X:     o.Point.X,
-			Y:     o.Point.Y,
-			Score: qi.Prepared.Score(&o.Doc),
-		})
+	for _, v := range region.Nodes {
+		for j, objID := range qi.NodeObjects[v] {
+			o := db.ds.Objects[objID]
+			res.Objects = append(res.Objects, ResultObject{
+				ID:    int(objID),
+				X:     o.Point.X,
+				Y:     o.Point.Y,
+				Score: qi.NodeScores[v][j],
+			})
+		}
 	}
 	return res
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
@@ -24,7 +23,7 @@ type ServeOptions struct {
 	// worker owns one pooled planner, so memory grows with workers, not
 	// with traffic.
 	Workers int
-	// Search selects the algorithm and tuning, exactly as for Run/RunBatch.
+	// Search selects the algorithm, exactly as for Run/RunBatch.
 	// A Request may override it per request (Request.Search).
 	Search SearchOptions
 	// Queue bounds the number of requests waiting for a worker; a full
@@ -87,7 +86,6 @@ func (st ServeStats) String() string {
 type Server struct {
 	db          *Database
 	inner       *queryengine.Server
-	opts        queryengine.Options
 	search      SearchOptions
 	maxQueueAge time.Duration
 	matched     atomic.Int64
@@ -97,26 +95,17 @@ type Server struct {
 // fixed workload and returns, the server accepts requests continuously
 // until Close, with per-request latency tracking (Stats).
 func (db *Database) Serve(opts ServeOptions) (*Server, error) {
-	// MethodAuto is resolved per request (it needs the instance size and
-	// the live queue pressure); validate the remaining knobs against its
-	// cheapest resolution.
-	probe := opts.Search
-	if probe.Method == MethodAuto {
-		probe.Method = MethodTGEN
-	}
-	qeOpts, err := toEngineOptions(probe, opts.Workers)
-	if err != nil {
+	if err := checkMethod(opts.Search.Method); err != nil {
 		return nil, err
 	}
 	inner := queryengine.NewServer(db.ds, queryengine.ServerOptions{
 		Workers:         opts.Workers,
-		Options:         qeOpts,
 		Queue:           opts.Queue,
 		MaxQueueAge:     opts.MaxQueueAge,
 		LatencyWindow:   opts.LatencyWindow,
 		DeadlineOrdered: opts.DeadlineOrdered,
 	})
-	return &Server{db: db, inner: inner, opts: qeOpts, search: opts.Search, maxQueueAge: opts.MaxQueueAge}, nil
+	return &Server{db: db, inner: inner, search: opts.Search, maxQueueAge: opts.MaxQueueAge}, nil
 }
 
 // Do answers one request, blocking until a worker is free (that is the
@@ -146,63 +135,21 @@ func (s *Server) DoWithOptions(ctx context.Context, req Request, search SearchOp
 
 // do answers req with an explicitly resolved search.
 func (s *Server) do(ctx context.Context, req Request, search SearchOptions) Response {
-	dq, err := toDatasetQuery(req.Query)
+	dq, err := prepare(req, search)
 	if err != nil {
-		return Response{Err: fmt.Errorf("repro: %w", err)}
-	}
-	dq.Trace = req.Explain
-	auto := search.Method == MethodAuto
-	qeOpts := s.opts
-	if search != s.search {
-		probe := search
-		if auto {
-			probe.Method = MethodTGEN // knob validation; Auto resolves on the worker
-		}
-		qeOpts, err = toEngineOptions(probe, 0)
-		if err != nil {
-			return Response{Err: err}
-		}
+		return Response{Err: err}
 	}
 	var results []*Result
 	var pl *Plan
 	started := time.Now()
 	t := queryengine.Task{Ctx: ctx, Query: dq}
 	t.Visit = func(qi *dataset.QueryInstance) error {
-		// Materialize on the worker: the instance aliases pooled planner
-		// buffers that are reused for the next request.
-		if auto || req.Explain {
-			// Plan on the worker, where both the instance size and the
-			// request's own queue wait (the load signal) are known. At
-			// pressure ≥ plan.DegradePressure Auto serves one rung cheaper;
-			// shedding only fires at pressure > 1, so degradation always
-			// gets its chance first.
-			pressure := 0.0
-			if s.maxQueueAge > 0 {
-				pressure = float64(t.Wait) / float64(s.maxQueueAge)
-			}
-			search, pl = s.db.planQuery(ctx, qi, dq.Lambda, search, pressure, req.Explain)
-			if auto {
-				o, oerr := toEngineOptions(search, 0)
-				if oerr != nil {
-					return oerr
-				}
-				qeOpts = o
-			}
-		}
-		var verr error
-		if req.K > 1 {
-			results, verr = s.db.topK(ctx, qi, dq.Delta, req.K, search)
-		} else {
-			var region *core.Region
-			region, verr = queryengine.Solve(ctx, qi, dq.Delta, qeOpts)
-			if verr == nil && region != nil {
-				results = []*Result{s.db.materialize(qi, region)}
-			}
-		}
-		// The trace aliases the worker's pooled planner; finish copies it
-		// out while qi is still this request's.
-		pl.finish(qi, started, t.Wait)
-		return verr
+		// Answer on the worker, where the request's own queue wait (the
+		// planner's load signal) is known and qi — which aliases the
+		// worker's pooled planner — is still this request's.
+		var err error
+		results, pl, err = s.db.answer(ctx, qi, req, dq, search, started, t.Wait, s.maxQueueAge)
+		return err
 	}
 	if err := s.inner.Do(&t); err != nil {
 		return Response{Err: err}
